@@ -194,6 +194,27 @@ for seed in 7 42 1009; do
     echo "seed $seed: clean (0 violations, residuals 0)"
 done
 
+echo "== perfbench output checks (detect, fig7, faults) =="
+# The end-to-end benchmark's unit tests, then one unit of each workload
+# BENCHMARK.json lists. Every run checks its outputs against the committed
+# records (per-seed event counts in perfbench/expected/detect.tsv, the
+# Figure 7 table in perfbench/expected/fig7.txt, the smoke-plan event
+# stream in crates/bench/tests/golden/events_smoke.jsonl.snap) and exits
+# nonzero on any mismatch, so a hot-path refactor that moves one simulated
+# byte fails here.
+cargo test --offline -q --manifest-path perfbench/Cargo.toml
+PERFBENCH_OUT="$(mktemp /tmp/satin_perfbench.XXXXXX.txt)"
+for workload in detect fig7 faults; do
+    if ! cargo run --release --offline --quiet --manifest-path perfbench/Cargo.toml -- \
+        --workload "$workload" --seed 1 --seconds 1 --trace 0 > "$PERFBENCH_OUT"; then
+        cat "$PERFBENCH_OUT"
+        rm -f "$PERFBENCH_OUT"
+        exit 1
+    fi
+    echo "perfbench $workload: outputs match the records"
+done
+rm -f "$PERFBENCH_OUT"
+
 echo "== bench smoke + trajectory snapshot =="
 # The criterion suites must still run (compile + execute, numbers ignored);
 # campaign_seeds is built but not executed here — one quick campaign is

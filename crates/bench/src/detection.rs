@@ -162,9 +162,10 @@ pub fn try_run_scenario(
     let slice = config.tgoal / 19; // one tp
     let hard_stop = SimTime::ZERO + config.tgoal * 40; // safety net
     while handle.round_count() < config.rounds && sys.now() < hard_stop {
-        sys.run_for(slice);
-        // A scheduled worker abort lands between run slices: the partial
-        // simulation is discarded and the seed reports a failed row.
+        // A runaway loop that spends the event budget, or a scheduled worker
+        // abort landing between run slices, discards the partial simulation
+        // and the seed reports a failed row.
+        sys.try_run_for(slice)?;
         sys.check_fault_abort()?;
     }
     let metrics = MetricsReport::capture(&sys);

@@ -1,14 +1,18 @@
 //! Per-core runqueues: an RT FIFO class over a CFS class.
 
 use crate::task::TaskId;
-use std::collections::{BTreeMap, BTreeSet};
 
 /// One core's runqueue pair.
 ///
-/// The RT queue is keyed `(99 - priority, arrival)` so iteration order is
-/// highest-priority-first, FIFO within a priority — `SCHED_FIFO` semantics.
-/// The CFS queue is keyed `(vruntime, id)` so the leftmost (smallest
-/// vruntime) task is picked, like the kernel's red-black tree.
+/// The RT queue is ordered by `(99 - priority, arrival)`, so the pick order
+/// is highest-priority-first, FIFO within a priority — `SCHED_FIFO`
+/// semantics. The CFS queue is ordered by `(vruntime, id)`, so the leftmost
+/// (smallest vruntime) task is picked, like the kernel's red-black tree.
+///
+/// Both queues are sorted `Vec`s kept in *descending* key order, so the next
+/// task sits at the back and a pick is a `Vec::pop`. A core's queue holds a
+/// handful of tasks at most (the paper's pollers run 0–2 deep), where a
+/// binary search plus a short shift beats any tree.
 ///
 /// # Example
 ///
@@ -26,8 +30,10 @@ use std::collections::{BTreeMap, BTreeSet};
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct CoreRunQueue {
-    rt: BTreeMap<(u8, u64), TaskId>,
-    cfs: BTreeSet<(u64, TaskId)>,
+    /// `((99 - priority, arrival), task)`, sorted descending by key.
+    rt: Vec<((u8, u64), TaskId)>,
+    /// `(vruntime, task)`, sorted descending; a set (no duplicate entries).
+    cfs: Vec<(u64, TaskId)>,
     arrival: u64,
     min_vruntime: u64,
 }
@@ -47,52 +53,56 @@ impl CoreRunQueue {
         assert!((1..=99).contains(&priority), "bad RT priority {priority}");
         let key = (99 - priority, self.arrival);
         self.arrival += 1;
-        self.rt.insert(key, task);
+        // Arrivals are unique, so the key is new and lands below every
+        // queued entry of the same priority.
+        let pos = self.rt.partition_point(|(k, _)| *k > key);
+        self.rt.insert(pos, (key, task));
     }
 
-    /// Enqueues a CFS task at `vruntime`.
+    /// Enqueues a CFS task at `vruntime`. Enqueuing an entry that is already
+    /// queued (same vruntime and task) is a no-op.
     pub fn enqueue_cfs(&mut self, vruntime: u64, task: TaskId) {
-        self.cfs.insert((vruntime, task));
+        let entry = (vruntime, task);
+        let pos = self.cfs.partition_point(|e| *e > entry);
+        if self.cfs.get(pos) != Some(&entry) {
+            self.cfs.insert(pos, entry);
+        }
     }
 
     /// Picks (and removes) the next task: the highest-priority RT task if
     /// any, else the smallest-vruntime CFS task.
     pub fn pick_next(&mut self) -> Option<TaskId> {
-        if let Some((&key, &tid)) = self.rt.iter().next() {
-            self.rt.remove(&key);
+        if let Some((_, tid)) = self.rt.pop() {
             return Some(tid);
         }
-        if let Some(&(v, tid)) = self.cfs.iter().next() {
-            self.cfs.remove(&(v, tid));
-            self.min_vruntime = self.min_vruntime.max(v);
-            return Some(tid);
-        }
-        None
+        let (v, tid) = self.cfs.pop()?;
+        self.min_vruntime = self.min_vruntime.max(v);
+        Some(tid)
     }
 
     /// The task `pick_next` would return, without removing it.
     pub fn peek_next(&self) -> Option<TaskId> {
-        self.rt
-            .values()
-            .next()
-            .or_else(|| self.cfs.iter().next().map(|(_, t)| t))
-            .copied()
+        match self.rt.last() {
+            Some(&(_, tid)) => Some(tid),
+            None => self.cfs.last().map(|&(_, tid)| tid),
+        }
     }
 
     /// The priority of the best queued RT task, if any.
     pub fn best_rt_priority(&self) -> Option<u8> {
-        self.rt.keys().next().map(|(inv, _)| 99 - inv)
+        self.rt.last().map(|((inv, _), _)| 99 - inv)
     }
 
-    /// Removes a specific task from whichever queue holds it.
+    /// Removes a specific task from whichever queue holds it (its
+    /// earliest-ordered entry, if queued more than once).
     /// Returns `true` if it was queued.
     pub fn remove(&mut self, task: TaskId) -> bool {
-        if let Some(key) = self.rt.iter().find(|(_, t)| **t == task).map(|(k, _)| *k) {
-            self.rt.remove(&key);
+        if let Some(pos) = self.rt.iter().rposition(|&(_, t)| t == task) {
+            self.rt.remove(pos);
             return true;
         }
-        if let Some(key) = self.cfs.iter().find(|(_, t)| *t == task).copied() {
-            self.cfs.remove(&key);
+        if let Some(pos) = self.cfs.iter().rposition(|&(_, t)| t == task) {
+            self.cfs.remove(pos);
             return true;
         }
         false
@@ -134,6 +144,65 @@ impl CoreRunQueue {
 mod tests {
     use super::*;
     use proptest::prelude::*;
+    use std::collections::{BTreeMap, BTreeSet};
+
+    /// The tree-backed runqueue the sorted-`Vec` one replaced, kept as the
+    /// reference model for the differential property test below.
+    #[derive(Default)]
+    struct TreeRunQueue {
+        rt: BTreeMap<(u8, u64), TaskId>,
+        cfs: BTreeSet<(u64, TaskId)>,
+        arrival: u64,
+        min_vruntime: u64,
+    }
+
+    impl TreeRunQueue {
+        fn enqueue_rt(&mut self, priority: u8, task: TaskId) {
+            self.rt.insert((99 - priority, self.arrival), task);
+            self.arrival += 1;
+        }
+
+        fn enqueue_cfs(&mut self, vruntime: u64, task: TaskId) {
+            self.cfs.insert((vruntime, task));
+        }
+
+        fn pick_next(&mut self) -> Option<TaskId> {
+            if let Some((_, tid)) = self.rt.pop_first() {
+                return Some(tid);
+            }
+            let (v, tid) = self.cfs.pop_first()?;
+            self.min_vruntime = self.min_vruntime.max(v);
+            Some(tid)
+        }
+
+        fn peek_next(&self) -> Option<TaskId> {
+            self.rt
+                .values()
+                .next()
+                .or_else(|| self.cfs.iter().next().map(|(_, t)| t))
+                .copied()
+        }
+
+        fn best_rt_priority(&self) -> Option<u8> {
+            self.rt.keys().next().map(|(inv, _)| 99 - inv)
+        }
+
+        fn remove(&mut self, task: TaskId) -> bool {
+            if let Some(key) = self.rt.iter().find(|(_, t)| **t == task).map(|(k, _)| *k) {
+                self.rt.remove(&key);
+                return true;
+            }
+            if let Some(key) = self.cfs.iter().find(|(_, t)| *t == task).copied() {
+                self.cfs.remove(&key);
+                return true;
+            }
+            false
+        }
+
+        fn advance_min_vruntime(&mut self, v: u64) {
+            self.min_vruntime = self.min_vruntime.max(v);
+        }
+    }
 
     #[test]
     fn rt_priority_order() {
@@ -225,6 +294,53 @@ mod tests {
             if let Some(pos) = first_cfs {
                 prop_assert!(picked[pos..].iter().all(|t| t.value() >= 1000));
                 prop_assert_eq!(pos, rt_count);
+            }
+        }
+
+        /// Random programs over a few task ids, priorities and vruntimes
+        /// (so equal priorities, equal vruntimes and repeated enqueues of
+        /// one task all occur) give the same results as the tree model.
+        #[test]
+        fn prop_matches_tree_model(
+            ops in proptest::collection::vec((0u8..7, 0u64..6, 0u64..8), 0..120),
+        ) {
+            let mut rq = CoreRunQueue::new();
+            let mut model = TreeRunQueue::default();
+            for (op, task, arg) in ops {
+                let tid = TaskId::new(task);
+                match op {
+                    0 => {
+                        let prio = [1u8, 50, 50, 99][(arg % 4) as usize];
+                        rq.enqueue_rt(prio, tid);
+                        model.enqueue_rt(prio, tid);
+                    }
+                    1 => {
+                        rq.enqueue_cfs(arg * 100, tid);
+                        model.enqueue_cfs(arg * 100, tid);
+                    }
+                    2 | 3 => prop_assert_eq!(rq.pick_next(), model.pick_next()),
+                    4 => prop_assert_eq!(rq.remove(tid), model.remove(tid)),
+                    5 => {
+                        rq.advance_min_vruntime(arg * 150);
+                        model.advance_min_vruntime(arg * 150);
+                    }
+                    _ => {}
+                }
+                prop_assert_eq!(rq.peek_next(), model.peek_next());
+                prop_assert_eq!(rq.best_rt_priority(), model.best_rt_priority());
+                prop_assert_eq!(rq.min_vruntime(), model.min_vruntime);
+                prop_assert_eq!(rq.rt_len(), model.rt.len());
+                prop_assert_eq!(rq.cfs_len(), model.cfs.len());
+                prop_assert_eq!(rq.len(), model.rt.len() + model.cfs.len());
+                prop_assert_eq!(rq.is_empty(), model.rt.is_empty() && model.cfs.is_empty());
+            }
+            // Draining both gives the same order.
+            loop {
+                let next = rq.pick_next();
+                prop_assert_eq!(next, model.pick_next());
+                if next.is_none() {
+                    break;
+                }
             }
         }
 

@@ -315,6 +315,14 @@ mod tests {
     }
 
     #[test]
+    #[should_panic(expected = "affinity allows no core on this machine")]
+    fn pinned_to_missing_core_panics() {
+        let mut s = sched(4);
+        let t = s.spawn("p", SchedClass::rt_max(), Affinity::pinned(CoreId::new(5)));
+        s.wake(t);
+    }
+
+    #[test]
     fn wake_prefers_least_loaded_core() {
         let mut s = sched(2);
         // Load core 0 with a running task.

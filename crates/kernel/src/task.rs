@@ -124,9 +124,15 @@ impl Affinity {
 
     /// Iterates allowed core indices (ascending).
     pub fn cores(self) -> impl Iterator<Item = CoreId> {
-        (0..64)
-            .filter(move |i| self.mask & (1 << i) != 0)
-            .map(CoreId::new)
+        let mut rest = self.mask;
+        std::iter::from_fn(move || {
+            if rest == 0 {
+                return None;
+            }
+            let i = rest.trailing_zeros() as usize;
+            rest &= rest - 1; // clear the lowest set bit
+            Some(CoreId::new(i))
+        })
     }
 
     /// Number of allowed cores.
@@ -283,6 +289,24 @@ mod tests {
     fn affinity_64_cores() {
         let a = Affinity::any(64);
         assert_eq!(a.count(), 64);
+        assert_eq!(
+            a.cores().collect::<Vec<_>>(),
+            (0..64).map(CoreId::new).collect::<Vec<_>>()
+        );
+    }
+
+    #[test]
+    fn affinity_cores_reach_core_63() {
+        let top = Affinity::pinned(CoreId::new(63));
+        assert_eq!(top.cores().collect::<Vec<_>>(), vec![CoreId::new(63)]);
+        let sparse = Affinity {
+            mask: (1 << 63) | (1 << 40) | 0b101,
+        };
+        assert_eq!(
+            sparse.cores().map(CoreId::index).collect::<Vec<_>>(),
+            vec![0, 2, 40, 63]
+        );
+        assert_eq!(Affinity { mask: 0 }.cores().count(), 0);
     }
 
     #[test]

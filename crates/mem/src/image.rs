@@ -104,14 +104,21 @@ fn fill_syscall_table(layout: &KernelLayout, seed: u64, chunk: &mut [u8]) {
 }
 
 fn fill_noise(seed: u64, chunk: &mut [u8]) {
-    // SplitMix64 stream, 8 bytes at a time: fast and fully deterministic.
+    // SplitMix64 stream, one little-endian word per 8 bytes: fast and fully
+    // deterministic. A partial last word takes the low bytes of its value.
     let mut state = seed;
-    for block in chunk.chunks_mut(8) {
+    let mut next = || {
         state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
-        let v = mix(state, 0);
-        for (b, s) in block.iter_mut().zip(v.to_le_bytes()) {
-            *b = s;
-        }
+        mix(state, 0).to_le_bytes()
+    };
+    let mut words = chunk.chunks_exact_mut(8);
+    for word in &mut words {
+        word.copy_from_slice(&next());
+    }
+    let tail = words.into_remainder();
+    if !tail.is_empty() {
+        let v = next();
+        tail.copy_from_slice(v.get(..tail.len()).expect("tail is shorter than a word"));
     }
 }
 
@@ -200,5 +207,46 @@ mod tests {
         let ao = a.range().start().offset_from(l.base()) as usize;
         let bo = b.range().start().offset_from(l.base()) as usize;
         assert_ne!(&img[ao..ao + 256], &img[bo..bo + 256]);
+    }
+
+    fn fnv1a(bytes: &[u8]) -> u64 {
+        bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, b| {
+            (h ^ u64::from(*b)).wrapping_mul(0x0000_0100_0000_01b3)
+        })
+    }
+
+    /// Digests of the paper image recorded from the byte-at-a-time fill:
+    /// the word-at-a-time fill must reproduce them exactly.
+    #[test]
+    fn paper_image_digests_are_pinned() {
+        let l = KernelLayout::paper();
+        for (seed, digest) in [(7u64, 0x8ad6_0486_553f_c1e1), (42, 0x98ed_fde9_0c56_e1ce)] {
+            let img = generate(&l, seed);
+            assert_eq!(img.len(), 11_916_240);
+            assert_eq!(fnv1a(&img), digest, "seed {seed}");
+        }
+    }
+
+    /// The byte-at-a-time SplitMix64 fill the word-at-a-time one replaced.
+    fn fill_noise_bytewise(seed: u64, chunk: &mut [u8]) {
+        let mut state = seed;
+        for block in chunk.chunks_mut(8) {
+            state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let v = mix(state, 0);
+            for (b, s) in block.iter_mut().zip(v.to_le_bytes()) {
+                *b = s;
+            }
+        }
+    }
+
+    #[test]
+    fn word_fill_matches_bytewise_fill_on_partial_words() {
+        for len in [0usize, 1, 7, 8, 9, 15, 16, 1021] {
+            let mut words = vec![0xAA; len];
+            let mut bytes = vec![0x55; len];
+            fill_noise(0xfeed, &mut words);
+            fill_noise_bytewise(0xfeed, &mut bytes);
+            assert_eq!(words, bytes, "len {len}");
+        }
     }
 }

@@ -36,6 +36,9 @@ pub struct Simulator<E> {
     queue: EventQueue<E>,
     dispatched: u64,
     event_budget: u64,
+    /// Set once [`Simulator::pop_until`] has refused a due event because the
+    /// event budget was spent.
+    over_budget: bool,
     observer: Option<Box<dyn SimObserver<E>>>,
 }
 
@@ -46,6 +49,7 @@ impl<E> fmt::Debug for Simulator<E> {
             .field("queue", &self.queue)
             .field("dispatched", &self.dispatched)
             .field("event_budget", &self.event_budget)
+            .field("over_budget", &self.over_budget)
             .field("observer", &self.observer.as_ref().map(|_| "installed"))
             .finish()
     }
@@ -69,6 +73,7 @@ impl<E> Simulator<E> {
             queue: EventQueue::new(),
             dispatched: 0,
             event_budget: Self::DEFAULT_EVENT_BUDGET,
+            over_budget: false,
             observer: None,
         }
     }
@@ -184,13 +189,7 @@ impl<E> Simulator<E> {
     /// Returns `None` when no events are pending.
     pub fn pop(&mut self) -> Option<(SimTime, E)> {
         let (t, seq, ev) = self.queue.pop_entry()?;
-        debug_assert!(t >= self.now, "event queue returned a past event");
-        self.now = t;
-        self.dispatched += 1;
-        if let Some(obs) = self.observer.as_deref_mut() {
-            obs.on_dispatched(t, seq, &ev, self.queue.len());
-        }
-        ev_into(t, ev)
+        Some(self.dispatch(t, seq, ev))
     }
 
     /// Pops the next event only if it fires at or before `deadline`.
@@ -198,16 +197,50 @@ impl<E> Simulator<E> {
     /// The clock never advances past `deadline`: if the next event is later
     /// (or the queue is empty), the clock is set to `deadline` and `None` is
     /// returned. This is how experiments run "for 8 simulated seconds".
+    ///
+    /// Like [`Simulator::run`], this dispatches at most the event budget.
+    /// Once the budget is spent, a due event is left queued, the clock stays
+    /// at the last dispatched event, `None` is returned, and
+    /// [`Simulator::check_budget`] reports the exhaustion.
     pub fn pop_until(&mut self, deadline: SimTime) -> Option<(SimTime, E)> {
-        match self.queue.peek_time() {
-            Some(t) if t <= deadline => self.pop(),
-            _ => {
-                if deadline > self.now {
-                    self.now = deadline;
-                }
-                None
+        if self.dispatched >= self.event_budget {
+            if self.queue.peek_time().is_some_and(|t| t <= deadline) {
+                self.over_budget = true;
+                return None;
             }
+        } else if let Some((t, seq, ev)) = self.queue.pop_entry_until(deadline) {
+            return Some(self.dispatch(t, seq, ev));
         }
+        if deadline > self.now {
+            self.now = deadline;
+        }
+        None
+    }
+
+    /// Whether [`Simulator::pop_until`] has stopped at the event budget.
+    ///
+    /// # Errors
+    ///
+    /// [`SimError::EventBudgetExhausted`] once `pop_until` has left a due
+    /// event undispatched because the budget was spent.
+    pub fn check_budget(&self) -> Result<(), SimError> {
+        if self.over_budget {
+            return Err(SimError::EventBudgetExhausted {
+                budget: self.event_budget,
+            });
+        }
+        Ok(())
+    }
+
+    /// Advances the clock to a popped event and notifies the observer.
+    fn dispatch(&mut self, t: SimTime, seq: u64, ev: E) -> (SimTime, E) {
+        debug_assert!(t >= self.now, "event queue returned a past event");
+        self.now = t;
+        self.dispatched += 1;
+        if let Some(obs) = self.observer.as_deref_mut() {
+            obs.on_dispatched(t, seq, &ev, self.queue.len());
+        }
+        (t, ev)
     }
 
     /// Runs `handler` on every event until the queue drains or the handler
@@ -234,12 +267,6 @@ impl<E> Simulator<E> {
         }
         Ok(())
     }
-}
-
-// Helper so `pop` can return the tuple without fighting the borrow checker in
-// future refactors; kept trivial on purpose.
-fn ev_into<E>(t: SimTime, ev: E) -> Option<(SimTime, E)> {
-    Some((t, ev))
 }
 
 #[cfg(test)]
@@ -351,6 +378,51 @@ mod tests {
             assert_eq!(result.is_ok(), ok, "budget 100, {n} events");
             assert_eq!(sim.dispatched(), n.min(101));
         }
+    }
+
+    #[test]
+    fn pop_until_stops_at_the_event_budget() {
+        // A zero-delay self-rescheduling loop spins at one instant; the
+        // budget ends it instead of the deadline.
+        let mut sim: Simulator<u32> = Simulator::with_event_budget(100);
+        sim.schedule_at(SimTime::from_nanos(5), 0);
+        let deadline = SimTime::from_millis(1);
+        while let Some((_, ev)) = sim.pop_until(deadline) {
+            sim.schedule_after(SimDuration::ZERO, ev);
+        }
+        assert_eq!(sim.dispatched(), 100);
+        assert_eq!(sim.now(), SimTime::from_nanos(5), "clock stays put");
+        assert_eq!(sim.pending(), 1, "the refused event stays queued");
+        assert_eq!(
+            sim.check_budget(),
+            Err(SimError::EventBudgetExhausted { budget: 100 })
+        );
+        // Later calls refuse too, rather than jumping the clock.
+        assert_eq!(sim.pop_until(deadline), None);
+        assert_eq!(sim.now(), SimTime::from_nanos(5));
+    }
+
+    #[test]
+    fn pop_until_budget_boundary_is_inclusive() {
+        // Exactly `budget` due events dispatch cleanly, and events past the
+        // deadline are not counted against the budget.
+        let mut sim: Simulator<u64> = Simulator::with_event_budget(10);
+        for i in 0..10 {
+            sim.schedule_at(SimTime::from_nanos(i), i);
+        }
+        sim.schedule_at(SimTime::from_nanos(500), 99);
+        let deadline = SimTime::from_nanos(100);
+        let mut n = 0;
+        while sim.pop_until(deadline).is_some() {
+            n += 1;
+        }
+        assert_eq!(n, 10);
+        assert_eq!(sim.check_budget(), Ok(()));
+        assert_eq!(sim.now(), deadline);
+        // The next due event is one too many.
+        assert_eq!(sim.pop_until(SimTime::from_nanos(600)), None);
+        assert!(sim.check_budget().is_err());
+        assert_eq!(sim.now(), deadline);
     }
 
     #[test]

@@ -223,11 +223,22 @@ impl<E> EventQueue<E> {
     /// (the FIFO tie-breaker assigned at push time).
     #[must_use = "popping discards the event if the result is unused"]
     pub fn pop_entry(&mut self) -> Option<(SimTime, u64, E)> {
+        self.pop_entry_until(SimTime::MAX)
+    }
+
+    /// Like [`EventQueue::pop_entry`], but only if the earliest event fires
+    /// at or before `deadline`; otherwise the queue is left unchanged (apart
+    /// from promoting a wheel bucket, as [`EventQueue::peek_time`] does).
+    #[must_use = "popping discards the event if the result is unused"]
+    pub(crate) fn pop_entry_until(&mut self, deadline: SimTime) -> Option<(SimTime, u64, E)> {
         if self.len == 0 {
             return None;
         }
         self.advance();
-        let e = self.near.pop().expect("advance leaves near non-empty");
+        if self.near.last()?.time > deadline {
+            return None;
+        }
+        let e = self.near.pop()?;
         self.len -= 1;
         Some((e.time, e.seq, e.payload))
     }

@@ -4,7 +4,7 @@ use crate::machine::ActiveScan;
 use crate::stats::SysStats;
 use crate::timebuf::SharedTimeBuffer;
 use satin_hw::timing::TimingModel;
-use satin_hw::{CoreId, CoreKind};
+use satin_hw::{CoreId, CoreKind, Platform};
 use satin_kernel::syscall::SyscallTable;
 use satin_mem::phys::WriteRecord;
 use satin_mem::{KernelLayout, MemError, MemRange, PhysAddr, PhysMemory};
@@ -134,9 +134,8 @@ where
 pub struct RunCtx<'a> {
     pub(crate) now: SimTime,
     pub(crate) core: CoreId,
-    pub(crate) kind: CoreKind,
+    pub(crate) platform: &'a Platform,
     pub(crate) rng: &'a mut SimRng,
-    pub(crate) timing: &'a TimingModel,
     pub(crate) time_buffer: &'a mut SharedTimeBuffer,
     pub(crate) mem: &'a mut PhysMemory,
     pub(crate) layout: &'a KernelLayout,
@@ -160,7 +159,7 @@ impl<'a> RunCtx<'a> {
 
     /// The core's microarchitecture.
     pub fn core_kind(&self) -> CoreKind {
-        self.kind
+        self.platform.core_kind(self.core)
     }
 
     /// Deterministic randomness for the task.
@@ -170,7 +169,7 @@ impl<'a> RunCtx<'a> {
 
     /// The platform timing model (read-only).
     pub fn timing(&self) -> &TimingModel {
-        self.timing
+        self.platform.timing()
     }
 
     /// Reads the shared physical counter (`CNTPCT_EL0`). Readable from the
@@ -184,9 +183,10 @@ impl<'a> RunCtx<'a> {
     /// Returns the sampled execution cost of the Time Reporter body, which
     /// the caller should include in its busy period.
     pub fn publish_time_report(&mut self) -> SimDuration {
-        let exec = self.timing.sample_report_exec(self.rng);
+        let timing = self.platform.timing();
+        let exec = timing.sample_report_exec(self.rng);
         let publish_at = self.now + exec;
-        let delay = self.timing.sample_publication_delay(self.rng);
+        let delay = timing.sample_publication_delay(self.rng);
         self.time_buffer
             .publish(self.core, publish_at, publish_at + delay, publish_at);
         self.stats.time_reports += 1;
@@ -207,13 +207,14 @@ impl<'a> RunCtx<'a> {
     /// Samples the execution cost of one Time Comparer pass over `cores`
     /// compared cores.
     pub fn compare_exec_cost(&mut self, cores: usize) -> SimDuration {
-        self.timing.sample_compare_exec(cores, self.rng)
+        self.platform.timing().sample_compare_exec(cores, self.rng)
     }
 
     /// Samples the rootkit's total trace-recovery time (`Tns_recover`) on
     /// this core's microarchitecture (§IV-B2: A53 ≈ 5.80 ms, A57 ≈ 4.96 ms).
     pub fn recovery_cost(&mut self) -> SimDuration {
-        self.timing.sample_recover(self.kind, self.rng)
+        let kind = self.core_kind();
+        self.platform.timing().sample_recover(kind, self.rng)
     }
 
     /// The monitored kernel's layout.

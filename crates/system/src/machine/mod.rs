@@ -87,7 +87,7 @@ pub struct System {
     mem: PhysMemory,
     layout: KernelLayout,
     syscalls: SyscallTable,
-    bodies: Vec<Option<Box<dyn ThreadBody>>>,
+    bodies: Vec<Box<dyn ThreadBody>>,
     resume: Vec<Option<(SimDuration, Then)>>,
     work: Vec<TaskWork>,
     service: Option<Box<dyn SecureService>>,
@@ -207,7 +207,7 @@ impl System {
     ) -> TaskId {
         let tid = self.sched.spawn(name, class, affinity);
         debug_assert_eq!(tid.value() as usize, self.bodies.len());
-        self.bodies.push(Some(Box::new(body)));
+        self.bodies.push(Box::new(body));
         self.resume.push(None);
         self.work.push(TaskWork::default());
         tid
@@ -422,16 +422,22 @@ impl System {
         self.faults.as_ref().map(|f| f.stats())
     }
 
-    /// Checks whether a scheduled worker abort is due at the current sim
-    /// time. Campaign drivers call this between run slices so an injected
-    /// abort surfaces as a structured error, never a panic.
+    /// Checks whether the run must be abandoned: the event engine spent its
+    /// event budget, or a scheduled worker abort is due at the current sim
+    /// time. Campaign drivers call this between run slices so a runaway
+    /// loop or an injected abort surfaces as a structured error, never a
+    /// hang or a panic.
     ///
     /// # Errors
     ///
+    /// [`satin_sim::SimError::EventBudgetExhausted`] (wrapped in
+    /// [`SatinError::Sim`]) once [`System::try_run_until`] stopped at the
+    /// engine's event budget;
     /// [`satin_faults::FaultError::WorkerAbort`] (wrapped in
     /// [`SatinError::Fault`]) once the abort instant has passed and the
     /// current attempt is still within the abort's attempt budget.
     pub fn check_fault_abort(&self) -> Result<(), SatinError> {
+        self.sim.check_budget()?;
         if let Some(f) = &self.faults {
             f.check_abort(self.sim.now())?;
         }

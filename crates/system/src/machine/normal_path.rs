@@ -40,30 +40,29 @@ impl System {
         self.stats.ticks_delivered += 1;
 
         // KProber-I runs inside the (hijacked) timer IRQ handler.
-        if let Some(mut hook) = self.tick_hook.take() {
-            let kind = self.platform.core_kind(core);
-            let cost = {
-                let mut ctx = RunCtx {
-                    now,
-                    core,
-                    kind,
-                    rng: &mut self.rng_body,
-                    timing: self.platform.timing(),
-                    time_buffer: &mut self.time_buffer,
-                    mem: &mut self.mem,
-                    layout: &self.layout,
-                    scans: &mut self.scans,
-                    trace: &mut self.trace,
-                    stats: &mut self.stats,
-                    syscalls: &self.syscalls,
-                    marks: &mut self.mark_buf,
-                };
-                hook.on_tick(&mut ctx);
-                ctx.timing.irq_prober_exec.sample(&mut self.rng_timing)
+        if let Some(hook) = self.tick_hook.as_deref_mut() {
+            let mut ctx = RunCtx {
+                now,
+                core,
+                platform: &self.platform,
+                rng: &mut self.rng_body,
+                time_buffer: &mut self.time_buffer,
+                mem: &mut self.mem,
+                layout: &self.layout,
+                scans: &mut self.scans,
+                trace: &mut self.trace,
+                stats: &mut self.stats,
+                syscalls: &self.syscalls,
+                marks: &mut self.mark_buf,
             };
+            hook.on_tick(&mut ctx);
+            let cost = self
+                .platform
+                .timing()
+                .irq_prober_exec
+                .sample(&mut self.rng_timing);
             self.flush_marks();
             self.stats.tick_hook_time += cost;
-            self.tick_hook = Some(hook);
         }
 
         // CFS timeslice preemption.
@@ -154,29 +153,22 @@ impl System {
     }
 
     fn call_body(&mut self, now: SimTime, core: CoreId, task: TaskId) -> RunOutcome {
-        let idx = task.value() as usize;
-        let mut body = self.bodies[idx].take().expect("task body present");
-        let kind = self.platform.core_kind(core);
-        let outcome = {
-            let mut ctx = RunCtx {
-                now,
-                core,
-                kind,
-                rng: &mut self.rng_body,
-                timing: self.platform.timing(),
-                time_buffer: &mut self.time_buffer,
-                mem: &mut self.mem,
-                layout: &self.layout,
-                scans: &mut self.scans,
-                trace: &mut self.trace,
-                stats: &mut self.stats,
-                syscalls: &self.syscalls,
-                marks: &mut self.mark_buf,
-            };
-            body.on_run(&mut ctx)
+        let mut ctx = RunCtx {
+            now,
+            core,
+            platform: &self.platform,
+            rng: &mut self.rng_body,
+            time_buffer: &mut self.time_buffer,
+            mem: &mut self.mem,
+            layout: &self.layout,
+            scans: &mut self.scans,
+            trace: &mut self.trace,
+            stats: &mut self.stats,
+            syscalls: &self.syscalls,
+            marks: &mut self.mark_buf,
         };
+        let outcome = self.bodies[task.value() as usize].on_run(&mut ctx);
         self.flush_marks();
-        self.bodies[idx] = Some(body);
         outcome
     }
 
@@ -202,14 +194,12 @@ impl System {
     }
 
     pub(super) fn on_task_done(&mut self, now: SimTime, core: CoreId, task: TaskId, token: u64) {
-        let valid = matches!(
-            self.cores.running(core),
-            Some(Running { task: t, token: k, .. }) if t == task && k == token
-        );
-        if !valid {
-            return; // stale: the busy period was preempted
-        }
-        let r = self.cores.running_mut(core).take().expect("checked");
+        let slot = self.cores.running_mut(core);
+        let r = match *slot {
+            Some(r) if r.task == task && r.token == token => r,
+            _ => return, // stale: the busy period was preempted
+        };
+        *slot = None;
         let ran = now.since(r.started);
         self.account_work(task, core, r.started, now);
         let next_state = match r.then {

@@ -22,6 +22,49 @@ fn empty_system_runs_quietly() {
     assert_eq!(s.stats().ticks_delivered, 0);
 }
 
+/// A machine whose only task is pinned and yields after zero work, so it
+/// re-dispatches itself at one instant forever, on an engine with a small
+/// event budget (a fresh engine, so the armed ticks are dropped).
+fn zero_busy_spinner() -> System {
+    let mut s = sys();
+    s.sim = Simulator::with_event_budget(10_000);
+    let t = s.spawn(
+        "spinner",
+        SchedClass::rt_max(),
+        Affinity::pinned(CoreId::new(0)),
+        |_: &mut RunCtx<'_>| RunOutcome::yield_after(SimDuration::ZERO),
+    );
+    s.wake_at(t, SimTime::from_micros(3));
+    s
+}
+
+#[test]
+fn zero_busy_yield_loop_stops_at_the_event_budget() {
+    // The event budget ends the run and surfaces as an error, not a hang.
+    let mut s = zero_busy_spinner();
+    let budget_spent = |r: Result<(), SatinError>| {
+        matches!(
+            r,
+            Err(SatinError::Sim(satin_sim::SimError::EventBudgetExhausted {
+                budget: 10_000
+            }))
+        )
+    };
+    assert!(budget_spent(s.try_run_until(SimTime::from_millis(1))));
+    assert_eq!(s.events_dispatched(), 10_000);
+    // The clock stays at the spinning instant, short of the deadline.
+    assert!(s.now() < SimTime::from_micros(100), "now {}", s.now());
+    assert!(budget_spent(s.check_fault_abort()));
+    assert!(budget_spent(s.try_run_for(SimDuration::from_millis(1))));
+}
+
+#[test]
+#[should_panic(expected = "event budget")]
+fn run_until_panics_when_the_event_budget_ends_the_run() {
+    // Callers with no error path must not mistake the stop for a full run.
+    zero_busy_spinner().run_until(SimTime::from_millis(1));
+}
+
 #[test]
 fn task_runs_and_sleeps_on_cadence() {
     let mut s = sys();

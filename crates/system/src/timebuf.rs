@@ -47,9 +47,43 @@ struct Report {
 /// ```
 #[derive(Debug, Clone)]
 pub struct SharedTimeBuffer {
-    slots: Vec<VecDeque<Report>>,
+    slots: Vec<Slot>,
     /// Reports retained per core (enough to cover any realistic delay).
     depth: usize,
+}
+
+/// One core's report history, oldest first.
+#[derive(Debug, Clone)]
+struct Slot {
+    reports: VecDeque<Report>,
+    /// `published` is nondecreasing along `reports` — true of every real
+    /// reporter, which reads a monotone counter. Reads then stop at the
+    /// newest admitted report instead of scanning the whole history.
+    in_order: bool,
+}
+
+impl Slot {
+    fn new(depth: usize) -> Self {
+        Slot {
+            reports: VecDeque::with_capacity(depth),
+            in_order: true,
+        }
+    }
+
+    /// The value of the latest-`published` report that `seen` admits; on
+    /// equal `published` instants the newest report wins.
+    fn freshest(&self, seen: impl Fn(&Report) -> bool) -> Option<SimTime> {
+        if self.in_order {
+            // Walking back from the newest, the first admitted report has
+            // the largest `published` and is the newest of any tie.
+            return self.reports.iter().rev().find(|r| seen(r)).map(|r| r.value);
+        }
+        self.reports
+            .iter()
+            .filter(|r| seen(r))
+            .max_by_key(|r| r.published)
+            .map(|r| r.value)
+    }
 }
 
 impl SharedTimeBuffer {
@@ -60,9 +94,10 @@ impl SharedTimeBuffer {
     /// Panics if `num_cores == 0`.
     pub fn new(num_cores: usize) -> Self {
         assert!(num_cores > 0, "buffer needs at least one core");
+        let depth = 16;
         SharedTimeBuffer {
-            slots: vec![VecDeque::new(); num_cores],
-            depth: 16,
+            slots: vec![Slot::new(depth); num_cores],
+            depth,
         }
     }
 
@@ -80,7 +115,11 @@ impl SharedTimeBuffer {
         value: SimTime,
     ) {
         assert!(visible_at >= published, "visibility before publication");
-        let q = &mut self.slots[core.index()];
+        let slot = &mut self.slots[core.index()];
+        let q = &mut slot.reports;
+        if q.back().is_some_and(|last| published < last.published) {
+            slot.in_order = false;
+        }
         if q.len() == self.depth {
             q.pop_front();
         }
@@ -98,11 +137,7 @@ impl SharedTimeBuffer {
     ///
     /// Panics if `core` is out of range.
     pub fn read_remote(&self, core: CoreId, now: SimTime) -> Option<SimTime> {
-        self.slots[core.index()]
-            .iter()
-            .filter(|r| r.visible_at <= now)
-            .max_by_key(|r| r.published)
-            .map(|r| r.value)
+        self.slots[core.index()].freshest(|r| r.visible_at <= now)
     }
 
     /// The freshest value as seen from the *publishing* core itself (no
@@ -112,11 +147,7 @@ impl SharedTimeBuffer {
     ///
     /// Panics if `core` is out of range.
     pub fn read_local(&self, core: CoreId, now: SimTime) -> Option<SimTime> {
-        self.slots[core.index()]
-            .iter()
-            .filter(|r| r.published <= now)
-            .max_by_key(|r| r.published)
-            .map(|r| r.value)
+        self.slots[core.index()].freshest(|r| r.published <= now)
     }
 
     /// Number of cores covered.
@@ -126,8 +157,9 @@ impl SharedTimeBuffer {
 
     /// Clears all reports.
     pub fn clear(&mut self) {
-        for q in &mut self.slots {
-            q.clear();
+        for slot in &mut self.slots {
+            slot.reports.clear();
+            slot.in_order = true;
         }
     }
 }
@@ -135,6 +167,7 @@ impl SharedTimeBuffer {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn t(us: u64) -> SimTime {
         SimTime::from_micros(us)
@@ -189,6 +222,47 @@ mod tests {
         assert_eq!(b.read_remote(c, t(1000)), Some(t(99)));
         b.clear();
         assert_eq!(b.read_remote(c, t(1000)), None);
+    }
+
+    /// The full-history read every `freshest` call made before the
+    /// early-exit path: the reference for it.
+    fn reference(q: &VecDeque<Report>, seen: impl Fn(&Report) -> bool) -> Option<SimTime> {
+        q.iter()
+            .filter(|r| seen(r))
+            .max_by_key(|r| r.published)
+            .map(|r| r.value)
+    }
+
+    proptest! {
+        /// Random per-core publish sequences, with out-of-order visibility,
+        /// equal `published` instants and eviction past the history depth,
+        /// published in order (the early-exit path) or not (the full
+        /// scan): at every `now`, both reads equal the reference.
+        #[test]
+        fn prop_reads_match_filter_max_reference(
+            mut reports in proptest::collection::vec((0usize..2, 0u64..40, 0u64..30), 0..60),
+            in_order in 0u8..2,
+        ) {
+            if in_order == 1 {
+                // Stable: equal instants keep their random delays' order.
+                reports.sort_by_key(|&(_, published, _)| published);
+            }
+            let mut b = SharedTimeBuffer::new(2);
+            for (i, (core, published, delay)) in reports.into_iter().enumerate() {
+                // Distinct values show which of two equal-`published`
+                // reports a read picked.
+                b.publish(CoreId::new(core), t(published), t(published + delay), t(1_000 + i as u64));
+            }
+            for core in 0..2 {
+                let c = CoreId::new(core);
+                prop_assert!(in_order == 0 || b.slots[core].in_order);
+                let q = &b.slots[core].reports;
+                for now in (0..75).map(t) {
+                    prop_assert_eq!(b.read_remote(c, now), reference(q, |r| r.visible_at <= now));
+                    prop_assert_eq!(b.read_local(c, now), reference(q, |r| r.published <= now));
+                }
+            }
+        }
     }
 
     #[test]
